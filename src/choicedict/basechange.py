@@ -8,8 +8,10 @@ are padded to a power of two internally; callers pass the true count.
 Batched conversion processes even-numbered instances in a first round and
 odd-numbered ones in a second, gathering each round's instances into a
 scratch at power-of-two pitch so the padded intermediate layouts stay
-region-aligned (see the module notes in the repo docs for why in-place
-masking cannot align the three-phase division when s is not a power of 2).
+region-aligned.  In place, instance q would start at bit q*s*f; when s is
+not a power of two that offset is not a multiple of the 2r-bit regions the
+ladder and its three-phase division work on, so regions would straddle
+instance boundaries and mix digits of neighbouring instances.
 """
 
 from functools import lru_cache

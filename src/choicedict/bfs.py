@@ -144,6 +144,19 @@ def _two_ints(parts: Sequence[str], no: int, what: str) -> tuple[int, int]:
         raise GraphFormatError(f"non-integer {what} {parts!r}", no) from None
 
 
+#: Largest vertex id or arc offset the `array('i')` adjacency can hold.
+_INDEX_LIMIT = 2**31 - 1
+
+
+def _check_header_sizes(n: int, m: int, directed: bool, no: int) -> None:
+    """Reject, on the header line, sizes the adjacency arrays cannot index."""
+    arcs = m if directed else 2 * m
+    if n > _INDEX_LIMIT or arcs > _INDEX_LIMIT:
+        raise GraphFormatError(
+            f"{n} vertices and {arcs} stored arcs exceed the limit of "
+            f"{_INDEX_LIMIT}", no)
+
+
 def load_graph(path: str, fmt: str, directed: bool) -> Graph:
     """Parse an edge-list or DIMACS file into a Graph.
 
@@ -169,6 +182,7 @@ def _load_edgelist(path: str, directed: bool) -> Graph:
             n, m = _two_ints(parts, no, "header counts")
             if n < 0 or m < 0:
                 raise GraphFormatError("negative count in header", no)
+            _check_header_sizes(n, m, directed, no)
             continue
         u, v = _two_ints(parts, no, "edge endpoints")
         if len(edges) == m:
@@ -202,6 +216,7 @@ def _load_dimacs(path: str, directed: bool) -> Graph:
             n, m = _two_ints(parts[2:], no, "problem sizes")
             if n < 0 or m < 0:
                 raise GraphFormatError("negative count in problem line", no)
+            _check_header_sizes(n, m, directed, no)
             continue
         if kind == "a":
             if n is None:
@@ -385,7 +400,6 @@ def bfs_forest(g: Graph, order=None, *, backend: str = "succinct",
     writes = 0
     layers = 0
     peak_members = 0
-    exhausted_order = True
 
     entries = _order_entries(order, n)
     for r in entries:
@@ -439,13 +453,11 @@ def bfs_forest(g: Graph, order=None, *, backend: str = "succinct",
             gate = next_gate
         if emitted == n:
             # every vertex is placed; the rest of the order is moot
-            exhausted_order = False
             break
 
     if emitted != n:
         raise ValueError(
             f"order covered {emitted} of {n} vertices; not a permutation")
-    del exhausted_order
 
     stats["records"] = emitted
     stats["trees"] = tree
@@ -625,6 +637,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"bfs: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("bfs: out of memory while loading the graph", file=sys.stderr)
+        return 1
 
     stats = {}
     out = sys.stdout
@@ -638,6 +653,9 @@ def main(argv=None) -> int:
                 kept.append(rec)
     except ValueError as e:
         print(f"bfs: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("bfs: out of memory during the traversal", file=sys.stderr)
         return 1
 
     if args.audit:

@@ -4,36 +4,29 @@ Stores a logical sequence a_1..a_N of 2b-bit cell values over a raw array
 A of N cells, initializable in O(1) by placing a barrier index mu at N.
 Cells left of the barrier (k <= mu) and right of it are paired by a
 matching encoded in the cells themselves; a cell is *weak* exactly when
-its logical value equals a per-cell default, and weak cells' storage is
-arbitrary, which is what makes initialization free.  The rules:
+its logical value is 0, and weak cells' storage is arbitrary, which is
+what makes initialization free.  The rules:
 
 * k is matched to l iff their mate fields point at each other and
   exactly one of the two is left of the barrier.
 * k is strong iff (matched and k <= mu) or (unmatched and k > mu).
-* a_k = default(k) iff k is weak; a strong right cell holds its value in
-  A[k]; a strong left cell holds the low half in A[k] and the high half
-  in A[mate(k)], both in the cells' lower halves.
+* a_k = 0 iff k is weak; a strong right cell holds its value in A[k]; a
+  strong left cell holds the low half in A[k] and the high half in
+  A[mate(k)], both in the cells' lower halves.
 * mu always equals the number of weak cells.
 
-Bit-exact cell layout (cell k occupies storage bits [(k-1)*2b, k*2b)):
-lower half = bits [0, b); upper half = bits [b, 2b), of which bits
-[b, b+p) are the mate field (p = b//2, holding a 1-based cell index) and
-bits [b+p, b+2p) of cell 1 hold mu itself in strict mode whenever the
-out-of-array flag bit says mu >= 1.  Strict mode therefore occupies
-exactly 2bN + 1 bits; loose mode keeps mu in an ordinary attribute
-(2bN + w bits) and exists for debugging.
+Bit-exact cell layout (cell k occupies storage bits [(k-1)*2b, k*2b)),
+with b = 2w for word size w: lower half = bits [0, b); upper half =
+bits [b, 2b), of which bits [b, b+p) are the mate field (p = b//2,
+holding a 1-based cell index) and bits [b+p, b+2p) of cell 1 hold mu
+itself whenever the out-of-array flag bit says mu >= 1.  The store
+therefore occupies exactly 2bN + 1 bits.
 
-The default is a pure function of the index, so the same engine serves
-zero-initialized stores and pattern-initialized ones.  Strong cells
-never hold their default: a write that would store one runs the deletion
-path and makes the cell weak instead.
+Strong cells never hold 0: a write of 0 runs the deletion path and makes
+the cell weak instead.
 """
 
 from .words import DEFAULT_W, MAX_BITS, CapacityError, charge
-
-
-def _zero(_k: int) -> int:
-    return 0
 
 
 class ChainStore:
@@ -43,33 +36,16 @@ class ChainStore:
         "b",
         "p",
         "w",
-        "strict",
-        "_default",
         "_a",
         "_flag",
-        "_mu_loose",
         "cell_reads",
         "cell_writes",
     )
 
-    def __init__(
-        self,
-        N: int,
-        cell_bits: int = 0,
-        default=None,
-        mode: str = "strict",
-        w: int = DEFAULT_W,
-        raw_storage: int = 0,
-    ):
-        if mode not in ("strict", "loose"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.strict = mode == "strict"
-        if cell_bits == 0:
-            cell_bits = 4 * w if self.strict else 2 * w
+    def __init__(self, N: int, w: int = DEFAULT_W, raw_storage: int = 0):
         if N < 1:
             raise ValueError("need at least one cell")
-        if cell_bits < 4 or cell_bits % 2:
-            raise ValueError("cell width must be an even number of bits >= 4")
+        cell_bits = 4 * w
         if N * cell_bits > MAX_BITS:
             raise CapacityError(f"{N}*{cell_bits} bits exceed MAX_BITS")
         self.N = N
@@ -77,29 +53,20 @@ class ChainStore:
         self.b = cell_bits // 2
         self.p = self.b // 2
         self.w = w
-        self._default = default if default is not None else _zero
-        self._check_width(N)
+        if N.bit_length() > self.p:
+            raise CapacityError(f"mate field of {self.p} bits cannot address {N} cells")
+        # b >= 2*ceil(log2(2bN)) so a left cell has room for both the
+        # mate field and the hidden barrier index.
+        if self.b < 2 * (2 * self.b * N - 1).bit_length():
+            raise ValueError(f"word size {w} too small to hide the barrier at N={N}")
         # Constant-time start: adopt whatever the memory holds, place the
         # barrier at the right end.  No matching edge can exist with
         # mu = N (nothing is right of the barrier), so garbage is safe.
         self._a = raw_storage & ((1 << (N * cell_bits)) - 1)
         self._flag = 0
-        self._mu_loose = 0
         self.cell_reads = 0
         self.cell_writes = 0
         self._store_mu(N)
-
-    def _check_width(self, N: int) -> None:
-        if N.bit_length() > self.p:
-            raise CapacityError(f"mate field of {self.p} bits cannot address {N} cells")
-        if self.strict:
-            # b >= 2*ceil(log2(2bN)) so a left cell has room for both the
-            # mate field and the hidden barrier index.
-            need = 2 * (2 * self.b * N - 1).bit_length()
-            if self.b < need:
-                raise ValueError(
-                    f"cell width {self.cell_bits} too small for strict mode at N={N}"
-                )
 
     # -- raw cell access (everything below counts and charges) --------
 
@@ -139,16 +106,11 @@ class ChainStore:
         self._set_field(k, self.b, self.p, v)
 
     def _load_mu(self) -> int:
-        if not self.strict:
-            return self._mu_loose
         if not self._flag:
             return 0
         return self._field(1, self.b + self.p, self.p)
 
     def _store_mu(self, m: int) -> None:
-        if not self.strict:
-            self._mu_loose = m
-            return
         self._flag = 1 if m >= 1 else 0
         if m >= 1:
             self._set_field(1, self.b + self.p, self.p, m)
@@ -158,9 +120,6 @@ class ChainStore:
     @property
     def mu(self) -> int:
         return self._load_mu()
-
-    def default(self, k: int) -> int:
-        return self._default(k) & ((1 << self.cell_bits) - 1)
 
     def mate(self, k: int) -> int:
         kp = self._matefield(k)
@@ -176,13 +135,13 @@ class ChainStore:
             raise IndexError(k)
         mu = self._load_mu()
         if self.mate(k) <= mu:
-            return self.default(k)
+            return 0
         if k > mu:
             return self._cell(k)
         return self._lower(k) | (self._lower(self.mate(k)) << self.b)
 
     def nonzero(self):
-        """Some index holding a non-default value, or None."""
+        """Some index holding a nonzero value, or None."""
         if self._load_mu() == self.N:
             return None
         return self.mate(self.N)
@@ -207,11 +166,10 @@ class ChainStore:
             raise IndexError(k)
         if not 0 <= x < (1 << self.cell_bits):
             raise ValueError(f"value does not fit in {self.cell_bits} bits")
-        d = self.default(k)
         x0 = self.read(k)
         kp = self.mate(k)
-        if x != d:
-            if x0 == d:
+        if x:
+            if not x0:
                 # Insertion: the cell at the barrier crosses to the right.
                 mu = self._load_mu()
                 mup = self.mate(mu)
@@ -223,7 +181,7 @@ class ChainStore:
                     self._set_matefield(mup, kp)
                     self._set_lower(mup, self._lower(k))
             self.simple_write(k, x)
-        elif x0 != d:
+        elif x0:
             # Deletion: the cell right of the barrier crosses to the left.
             mu = self._load_mu()
             mup = self.mate(mu + 1)
@@ -234,52 +192,11 @@ class ChainStore:
             if mup != k:
                 self.simple_write(mup, v)
 
-    # -- resizing ------------------------------------------------------
-
-    def grow(self, content=None, adopted: int = 0) -> None:
-        """Append cell N+1 with logical value `content` (default(N+1) if None).
-
-        `adopted` models the garbage found in the newly claimed memory;
-        any matching edge it fakes is severed, never followed.
-        """
-        n1 = self.N + 1
-        if n1 * self.cell_bits > MAX_BITS:
-            raise CapacityError("grow exceeds MAX_BITS")
-        self._check_width(n1)
-        self.N = n1
-        sh = (n1 - 1) * self.cell_bits
-        self._a |= (adopted & ((1 << self.cell_bits) - 1)) << sh
-        d = self.default(n1)
-        target = d if content is None else content
-        if target != d:
-            self.simple_write(n1, target)
-            return
-        x1 = adopted & ((1 << self.cell_bits) - 1)
-        if x1 == d:
-            x1 = d ^ 1
-        self.simple_write(n1, x1)  # now strong, spurious edge gone
-        self.write(n1, d)  # and back to weak via the ordinary machinery
-
-    def shrink(self) -> None:
-        """Drop cell N.  Requires a_N = default(N); N stays >= 1."""
-        if self.N == 1:
-            raise ValueError("cannot shrink below one cell")
-        n = self.N
-        d = self.default(n)
-        if self.read(n) != d:
-            raise ValueError("last cell does not hold its default value")
-        # Make the last cell strong and self-contained, then cut it off:
-        # the rest of the representation does not depend on a trailing
-        # strong cell.
-        self.write(n, d ^ 1)
-        self.N = n - 1
-        self._a &= (1 << (self.N * self.cell_bits)) - 1
-
     # -- diagnostics ---------------------------------------------------
 
     @property
     def footprint_bits(self) -> int:
-        return self.N * self.cell_bits + (1 if self.strict else self.w)
+        return self.N * self.cell_bits + 1
 
     def access_counts(self):
         return {"reads": self.cell_reads, "writes": self.cell_writes}
@@ -288,13 +205,6 @@ class ChainStore:
         self.cell_reads = 0
         self.cell_writes = 0
 
-    def dump_words(self):
-        """Little-endian word dump of the storage plus the flag bit."""
-        nw = max(1, -(-self.N * self.cell_bits // self.w))
-        mask = (1 << self.w) - 1
-        flag = self._flag if self.strict else (1 if self._mu_loose else 0)
-        return [(self._a >> (i * self.w)) & mask for i in range(nw)], flag
-
     def validate(self):
         """O(N) invariant scan; returns a list of violation strings."""
         out = []
@@ -302,7 +212,7 @@ class ChainStore:
         if not 0 <= mu <= self.N:
             out.append(f"mu={mu} outside [0, {self.N}]")
             return out
-        if self.strict and self._flag != (1 if mu >= 1 else 0):
+        if self._flag != (1 if mu >= 1 else 0):
             out.append(f"flag={self._flag} inconsistent with mu={mu}")
         weak = 0
         for k in range(1, self.N + 1):
@@ -313,8 +223,8 @@ class ChainStore:
                 out.append(f"pair ({k},{l}) does not straddle the barrier")
             if self.mate(k) <= mu:
                 weak += 1
-            elif self.read(k) == self.default(k):
-                out.append(f"strong cell {k} holds its default")
+            elif self.read(k) == 0:
+                out.append(f"strong cell {k} holds 0")
         if weak != mu:
             out.append(f"mu={mu} but {weak} weak cells")
         return out

@@ -39,8 +39,6 @@ color throughout is reported at least once, and elements are only
 ever handed out while they wear the color.
 """
 
-import math
-
 from .words import CapacityError, DEFAULT_W, MAX_BITS, charge
 from .container import FieldContainer, NumeralContainer, _succ_in_fields
 from .uncolored import UncoloredDict
@@ -569,26 +567,6 @@ class ColoredDict:
         transient = self._slot if self._scratch is not None else 0
         return {"core": core, "side": side, "iteration": it_bits,
                 "transient": transient}
-
-    def audit_report(self):
-        """Flat key/value record of the space audit, for the CLI."""
-        parts = self.bits_used()
-        if self._pow2:
-            reference = self.n * self.f + 1
-        else:
-            reference = self.n * math.log2(self.c) + 1
-        total = sum(parts.values())
-        return {
-            "n": self.n, "c": self.c, "container_elems": self.m,
-            "containers": self.N, "surplus_elems": self.m_s,
-            "slot_bits": self._slot,
-            "core_bits": parts["core"], "side_bits": parts["side"],
-            "iteration_bits": parts["iteration"],
-            "transient_bits": parts["transient"],
-            "total_bits": total,
-            "reference_bits": reference,
-            "slack_bits": total - reference,
-        }
 
     def validate(self):
         """Exhaustive structural check; returns a list of complaints."""

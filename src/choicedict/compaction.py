@@ -25,10 +25,6 @@ from typing import Iterator, NamedTuple, Tuple
 
 from .words import BitString, MAX_BITS, CapacityError, charge, high_bits, ones
 
-#: When True, dead-bit invariants are verified on entry/exit.
-debug_checks = True
-
-
 def _check_pow2_shape(g: int, h: int) -> None:
     if g < 2:
         raise ValueError("pattern length g must be at least 2")
@@ -48,7 +44,7 @@ def compact_pow2(x: BitString, g: int, h: int) -> BitString:
     _check_pow2_shape(g, h)
     if x.len_bits != g * h:
         raise ValueError(f"expected a {g * h}-bit operand, got {x.len_bits}")
-    if debug_checks and x.value & high_bits(h, g):
+    if x.value & high_bits(h, g):
         raise ValueError("dead bit position is set")
     r = h - 1
     s = h - h // g
@@ -69,7 +65,7 @@ def expand_pow2(y: BitString, g: int, h: int) -> BitString:
     v = ((spread * ones(g - 1, r)) >> ((g - 2) * r)) & ((1 << r) - 1)
     u = ((y.value - spread) << r) | v
     charge(g * h, y.w, 4 + g)
-    if debug_checks and u & high_bits(h, g):
+    if u & high_bits(h, g):
         raise ValueError("expansion produced a set dead bit")
     return BitString(u, g * h, y.w)
 
@@ -269,6 +265,6 @@ def expand_groups(y: BitString, shape: GapShape) -> BitString:
         raise ValueError(f"bits above position {n * u} are set")
     trace = _plan(shape)
     v = _apply(y.value, reversed(list(trace.iter_moves())), y.w, n * m, backward=True)
-    if debug_checks and v & ~_live_mask(shape):
+    if v & ~_live_mask(shape):
         raise AssertionError("expansion landed bits outside the groups")
     return BitString(v, n * m, y.w)

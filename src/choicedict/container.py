@@ -205,23 +205,6 @@ class _ContainerBase:
     def _payload_raw(self) -> int:
         return (self._state >> self._image_bits) & ((1 << self.payload_capacity) - 1)
 
-    def payload_read(self) -> BitString:
-        if self.full:
-            raise RuntimeError("no payload while the client vector is full")
-        charge(self.payload_capacity, self.w)
-        return BitString(self._payload_raw(), self.payload_capacity, self.w)
-
-    def payload_write(self, bits: BitString) -> None:
-        if self.full:
-            raise RuntimeError("no payload while the client vector is full")
-        if bits.len_bits > self.payload_capacity:
-            raise ValueError(
-                f"payload of {bits.len_bits} bits exceeds capacity {self.payload_capacity}"
-            )
-        keep = self._state & ((1 << self._image_bits) - 1)
-        self._state = keep | (bits.value << self._image_bits)
-        charge(self.payload_capacity, self.w)
-
     # -- state plumbing ------------------------------------------------
 
     def _fields(self) -> int:

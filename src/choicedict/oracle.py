@@ -30,7 +30,7 @@ class NaiveDict:
     """Array-backed reference with the same surface as the real dicts.
 
     With c=None this is an uncolored membership dictionary over 1..n
-    (insert/delete/contains/choice plus expand/contract); with c >= 2 it
+    (insert/delete/contains/choice); with c >= 2 it
     is a colored one (setcolor/color/choice-within-color), every index
     starting at color 0.
     """
@@ -67,16 +67,6 @@ class NaiveDict:
             if v:
                 return l
         return 0
-
-    def expand(self, bit):
-        self.vals.append(1 if bit else 0)
-        self.n += 1
-
-    def contract(self):
-        if self.n == 0:
-            raise ValueError("contract on an empty universe")
-        self.vals.pop()
-        self.n -= 1
 
     # colored surface --------------------------------------------------
 
@@ -128,25 +118,14 @@ class WorkloadScript:
         names = [wname for wname, _ in weights]
         cum = [w for _, w in weights]
         ops = []
-        n_cur = n
         for _ in range(length):
             name = rng.choices(names, cum)[0]
-            if name == "expand":
-                ops.append(("expand", rng.randint(0, 1)))
-                n_cur += 1
-                continue
-            if name == "contract":
-                if n_cur == 0:
-                    continue
-                ops.append(("contract",))
-                n_cur -= 1
-                continue
             if name == "choice":
                 ops.append(("choice",))
                 continue
-            if n_cur == 0:
+            if n == 0:
                 continue
-            l = rng.randint(1, n_cur)
+            l = rng.randint(1, n)
             if name == "setcolor":
                 ops.append(("setcolor", rng.randrange(c), l))
             elif name == "choice_color":

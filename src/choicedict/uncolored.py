@@ -1,12 +1,12 @@
 """Uncolored choice dictionary in n+1 bits with constant-time start.
 
-`UncoloredDict` maintains a subset S of {1..n} under insert / delete /
-contains / choice, supports growing and shrinking the universe one
-element at a time, and iterates over S while S changes underneath.  In
-strict mode its quiescent footprint is exactly n+1 bits: the logical bit
-vector is split into N = floor(n/(2b)) segments of 2b bits living in a
-`ChainStore` (2bN+1 bits including the barrier flag) plus a plain tail
-of n' = n mod 2b bits.  Initialization costs O(1) regardless of n.
+`UncoloredDict` maintains a subset S of a fixed universe {1..n}, n >= 1,
+under insert / delete / contains / choice, and iterates over S while S
+changes underneath.  Its quiescent footprint is exactly n+1 bits: the
+logical bit vector is split into N = floor(n/(2b)) segments of 2b bits
+living in a `ChainStore` (2bN+1 bits including the barrier flag) plus a
+plain tail of n' = n mod 2b bits.  Initialization costs O(1) regardless
+of n.
 
 Iteration
 ---------
@@ -39,8 +39,7 @@ spends 2L-1 bits.  Under the "big" convention the stream is
 decodable backwards from the end of the stream.  Total:
 n + 2*ceil(log2(n+1)) + 1 bits.
 
-Resizing during an active iteration is not supported, and at most one
-iteration can be active at a time.
+At most one iteration can be active at a time.
 """
 
 from .chainstore import ChainStore
@@ -49,7 +48,6 @@ from .words import DEFAULT_W, BitString, charge
 __all__ = [
     "UncoloredDict",
     "IterState",
-    "create",
     "encode_header",
     "decode_header",
 ]
@@ -159,19 +157,20 @@ class IterState:
 
 
 class UncoloredDict:
-    __slots__ = ("n", "b", "w", "strict", "D1", "D2", "_tail_reads", "_tail_writes", "_iter", "_steps")
+    __slots__ = ("n", "b", "w", "D1", "D2", "_tail_reads", "_tail_writes", "_iter", "_steps")
 
     def __init__(self, n: int, mode: str = "strict", w: int = DEFAULT_W):
-        if n < 0:
-            raise ValueError("universe size cannot be negative")
-        if mode not in ("strict", "loose"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.strict = mode == "strict"
+        # `mode` names the n+1-bit layout, the only one there is; it
+        # stays a parameter because callers pass it positionally.
+        if n < 1:
+            raise ValueError("need a universe of at least one element")
+        if mode != "strict":
+            raise ValueError(f"unknown mode {mode!r}; only 'strict' exists")
         self.w = w
-        self.b = 2 * w if self.strict else w
+        self.b = 2 * w
         self.n = n
         seg = 2 * self.b
-        self.D1 = ChainStore(n // seg, mode=mode, w=w) if n >= seg else None
+        self.D1 = ChainStore(n // seg, w) if n >= seg else None
         self.D2 = 0
         self._tail_reads = 0
         self._tail_writes = 0
@@ -260,65 +259,6 @@ class UncoloredDict:
             return 2 * self.b * self.N + _lsb(self.D2) + 1
         return 0
 
-    # -- universe resizing ---------------------------------------------
-
-    def expand(self, bit: int) -> None:
-        """Append universe element n+1, present iff bit is 1.
-
-        A 0-bit append runs the 1-bit append plus a delete, so the new
-        memory cell is never trusted to hold anything in particular.
-        """
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        if self._iter is not None:
-            raise RuntimeError("cannot resize during an active iteration")
-        nt = self.n_tail
-        seg = 2 * self.b
-        self.n += 1
-        if nt == seg - 1:
-            # The filled tail plus the new 1-bit becomes segment N+1.
-            x = self.D2 | (1 << nt)
-            self._tail_reads += 1
-            self._tail_writes += 1
-            charge(seg, self.w, 2)
-            if self.D1 is None:
-                self.D1 = ChainStore(1, mode="strict" if self.strict else "loose", w=self.w)
-                self.D1.write(1, x)
-            else:
-                self.D1.grow(content=x)
-            self.D2 = 0
-        else:
-            self._tail_writes += 1
-            charge(seg, self.w)
-            self.D2 |= 1 << nt
-        if not bit:
-            self.delete(self.n)
-
-    def contract(self) -> None:
-        """Remove universe element n (dropping it from S first)."""
-        if self.n == 0:
-            raise ValueError("cannot contract an empty universe")
-        if self._iter is not None:
-            raise RuntimeError("cannot resize during an active iteration")
-        nt = self.n_tail
-        seg = 2 * self.b
-        if nt >= 1:
-            self._tail_writes += 1
-            charge(seg, self.w)
-            self.D2 &= (1 << (nt - 1)) - 1
-        else:
-            # Segment N spills back into the tail, minus its top bit.
-            v = self.D1.read(self.D1.N)
-            self.D1.write(self.D1.N, 0)
-            if self.D1.N == 1:
-                self.D1 = None
-            else:
-                self.D1.shrink()
-            self._tail_writes += 1
-            charge(seg, self.w)
-            self.D2 = v & ((1 << (seg - 1)) - 1)
-        self.n -= 1
-
     # -- iteration -----------------------------------------------------
 
     def iter_init(self) -> None:
@@ -326,12 +266,7 @@ class UncoloredDict:
         self._steps = 0
         if self.D1 is not None:
             N = self.D1.N
-            mode = "strict"
-            self._iter = IterState(
-                N,
-                UncoloredDict(N, mode=mode, w=self.w),
-                UncoloredDict(N, mode=mode, w=self.w),
-            )
+            self._iter = IterState(N, UncoloredDict(N, w=self.w), UncoloredDict(N, w=self.w))
         else:
             self._iter = IterState(0, None, None)
 
@@ -476,7 +411,7 @@ class UncoloredDict:
     # -- audits --------------------------------------------------------
 
     def bits_used(self):
-        """Bit budget by role; strict quiescent core is exactly n+1."""
+        """Bit budget by role; the quiescent core is exactly n+1."""
         core = (self.D1.footprint_bits if self.D1 is not None else 1) + self.n_tail
         it_bits = 0
         if self._iter is not None:
@@ -588,10 +523,6 @@ class UncoloredDict:
 
     def serialize(self, convention: str = "big") -> BitString:
         """One self-delimiting bit string holding n and the n+1 payload bits."""
-        if not self.strict:
-            raise ValueError("only the strict layout has an n+1-bit image")
-        if self.n < 1:
-            raise ValueError("an empty universe has no self-contained form")
         if self._iter is not None:
             raise RuntimeError("cannot serialize during an active iteration")
         head = encode_header(self.n, convention)
@@ -624,7 +555,7 @@ class UncoloredDict:
             if total != 1 + hlen + (n + 1):
                 raise ValueError("stream length disagrees with header")
             payload = bits.value >> (1 + hlen)
-        d = cls(n, mode="strict", w=w)
+        d = cls(n, w=w)
         if d.D1 is not None:
             cells = d.D1.N * d.D1.cell_bits
             # Same-package restore of the exact image, barrier included.
@@ -640,9 +571,3 @@ class UncoloredDict:
             raise ValueError(f"inconsistent payload: {bad[0]}")
         return d
 
-
-def create(n: int, mode: str = "strict", w: int = DEFAULT_W) -> UncoloredDict:
-    """Fresh empty dictionary over {1..n}, n >= 1; O(1) time."""
-    if n < 1:
-        raise ValueError("need n >= 1; start from UncoloredDict(0) and expand")
-    return UncoloredDict(n, mode=mode, w=w)

@@ -13,7 +13,7 @@ tests can assert cost shapes without timing anything.
 """
 
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 #: Hard cap on the length of any single bit string (2^26 bits = 8 MiB).
 MAX_BITS = 1 << 26
@@ -154,22 +154,6 @@ def _lsb_index(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-def nonzero_field_bounds(x: BitString, v: FieldView) -> Optional[Tuple[int, int]]:
-    """1-based indices of the first and last nonzero field, or None.
-
-    Runs in O(ceil(mf/w)) word operations: one SWAR pass plus two
-    bit scans.
-    """
-    _check_view(x, v)
-    m, f = v
-    xv = x.value & ((1 << (m * f)) - 1)
-    e = _nonzero_high(xv, m, f)
-    charge(m * f, x.w, 5)
-    if e == 0:
-        return None
-    return _lsb_index(e) // f + 1, (e.bit_length() - 1) // f + 1
-
-
 def min_zero_field(x: BitString, v: FieldView) -> Optional[int]:
     """1-based index of the first all-zero field, or None."""
     _check_view(x, v)
@@ -207,55 +191,6 @@ def leq_mask(x: BitString, v: FieldView, k: int) -> BitString:
     return BitString(_leq_mask_int(xv, m, f, k), m * f, x.w)
 
 
-def mw_mul(x: BitString, y: BitString) -> BitString:
-    """Schoolbook product of two multiword integers.
-
-    The textbook limb loop: one w-by-w multiply-accumulate per limb
-    pair, carries propagated a word at a time.
-    """
-    w = x.w
-    xs = x.words
-    ys = y.words
-    mask = (1 << w) - 1
-    out = [0] * (len(xs) + len(ys))
-    for i, xi in enumerate(xs):
-        if xi == 0:
-            continue
-        carry = 0
-        for j, yj in enumerate(ys):
-            t = out[i + j] + xi * yj + carry
-            out[i + j] = t & mask
-            carry = t >> w
-        out[i + len(ys)] = carry
-    charge(x.len_bits, w, max(1, len(ys)))
-    value = 0
-    for i, word in enumerate(out):
-        value |= word << (i * w)
-    return BitString(value, x.len_bits + y.len_bits, w)
-
-
-def mw_div(x: BitString, y: BitString) -> BitString:
-    """Truncated quotient of two multiword integers, by long division.
-
-    Base-2 schoolbook: shift a bit of the dividend into the remainder,
-    compare, subtract.  Adequate for the operand sizes the containers
-    produce; never on a hot path.
-    """
-    if y.value == 0:
-        raise ZeroDivisionError("mw_div by zero")
-    q = 0
-    rem = 0
-    yv = y.value
-    xv = x.value
-    for i in reversed(range(x.len_bits)):
-        rem = (rem << 1) | ((xv >> i) & 1)
-        if rem >= yv:
-            rem -= yv
-            q |= 1 << i
-    charge(y.len_bits, x.w, max(1, x.len_bits))
-    return BitString(q, x.len_bits, x.w)
-
-
 @lru_cache(maxsize=None)
 def _region_phase_mask(p: int, r: int, phase: int) -> int:
     low = (1 << r) - 1
@@ -270,34 +205,14 @@ def _approx_inverse(b: int, r: int) -> int:
     return -(-(1 << (2 * r)) // b)
 
 
-def regionwise_div(x: BitString, b: int, r: int, p: int) -> BitString:
-    """Divide every r-bit region of x by b, truncating.
+def regionwise_div_int(xv: int, b: int, r: int, p: int) -> int:
+    """Divide each of the p lowest r-bit regions of xv by b >= 1, truncating.
 
     Multiplies by the approximate inverse ceil(2^{2r}/b) and keeps bits
     [2r, 3r) of each product; regions are processed in three interleaved
     rounds (every third region) so the 3r-bit products cannot collide.
+    Exact when b <= 2^r.
     """
-    if b < 1:
-        raise ValueError("divisor must be positive")
-    if r < 1 or p < 1:
-        raise ValueError("need r >= 1 and p >= 1")
-    if p * r > x.len_bits:
-        raise ValueError("regions do not fit in x")
-    if b == 1:
-        return BitString(x.value, x.len_bits, x.w)
-    q = _approx_inverse(b, r)
-    r2 = 2 * r
-    xv = x.value
-    out = 0
-    for phase in range(3):
-        mask = _region_phase_mask(p, r, phase)
-        out |= (((xv & mask) * q) >> r2) & mask
-    charge(p * r, x.w, 6)
-    return BitString(out, x.len_bits, x.w)
-
-
-def regionwise_div_int(xv: int, b: int, r: int, p: int) -> int:
-    """Integer-in, integer-out core of `regionwise_div` for internal use."""
     if b == 1:
         return xv
     q = _approx_inverse(b, r)

@@ -274,6 +274,33 @@ def test_dimacs_rejects(tmp_path, text, complaint):
         load_graph(str(p), "dimacs", directed=True)
 
 
+@pytest.mark.parametrize("fmt,text,directed", [
+    ("edgelist", "3000000000 1\n2999999999 1\n", True),
+    ("edgelist", "1000000000000 0\n", True),
+    ("edgelist", "5 1073741824\n1 2\n", False),  # 2m arcs when undirected
+    ("dimacs", "p sp 3000000000 1\na 2999999999 1\n", True),
+    ("dimacs", "p sp 5 1073741824\na 1 2\n", False),
+], ids=["edgelist-n", "edgelist-huge-n", "edgelist-arcs", "dimacs-n",
+        "dimacs-arcs"])
+def test_oversized_header_rejected(tmp_path, fmt, text, directed):
+    # The adjacency arrays are array('i'); sizes they cannot index are
+    # refused on the header line, before any allocation.
+    p = tmp_path / "big.txt"
+    p.write_text(text)
+    with pytest.raises(GraphFormatError, match="exceed the limit") as exc:
+        load_graph(str(p), fmt, directed=directed)
+    assert exc.value.line == 1
+
+
+def test_header_limit_counts_arcs_not_edges(tmp_path):
+    # 2^30 directed arcs fit, so the header passes and the body's short
+    # count is what gets reported.
+    p = tmp_path / "g.txt"
+    p.write_text("5 1073741824\n1 2\n")
+    with pytest.raises(GraphFormatError, match="declared 1073741824 edges"):
+        load_graph(str(p), "edgelist", directed=True)
+
+
 def test_format_error_carries_line_number(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("3 2\n1 2\n1 9\n")
@@ -356,6 +383,30 @@ def test_cli_missing_file_exits_1(tmp_path, capsys):
         ["--graph", str(tmp_path / "nope"), "--format", "edgelist",
          "--directed"], capsys)
     assert rc == 1
+
+
+def test_cli_oversized_header_exits_1(tmp_path, capsys):
+    p = tmp_path / "g.txt"
+    p.write_text("1000000000000 0\n")
+    rc, out, err = run_cli(
+        ["--graph", str(p), "--format", "edgelist", "--directed"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("bfs: line 1:") and "exceed the limit" in err
+
+
+@pytest.mark.parametrize("stage", ["load_graph", "bfs_forest"])
+def test_cli_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, stage):
+    import choicedict.bfs as mod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    p = tmp_path / "g.txt"
+    p.write_text("2 1\n1 2\n")
+    monkeypatch.setattr(mod, stage, exhausted)
+    rc, _, err = run_cli(
+        ["--graph", str(p), "--format", "edgelist", "--directed"], capsys)
+    assert rc == 1 and err.startswith("bfs: out of memory")
 
 
 def test_cli_bad_order_exits_1(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choicedict.container import FieldContainer, NumeralContainer, Transition, create
-from choicedict.words import BitString, CapacityError
+from choicedict.words import CapacityError
 
 
 def colors_of(d):
@@ -59,7 +59,7 @@ def test_fresh_container_is_compact_all_zero():
         assert not d.full
         assert d._z() == 1  # only color 0 present
         assert d.bits_used() == d._image_bits
-        assert d.payload_read().value == 0
+        assert d._state >> d._image_bits == 0  # no payload bits set
         assert d.validate() == []
 
 
@@ -187,6 +187,10 @@ def test_compact_size_bounds():
                     assert d.payload_capacity == m // c - c
 
 
+# The payload is the `payload_capacity` bits of `_state` above
+# `_image_bits`; `ColoredDict` parks its mate and top fields there.
+
+
 def test_payload_round_trip_and_survival():
     rng = random.Random(4)
     for c in (2, 3, 4, 8):
@@ -196,26 +200,23 @@ def test_payload_round_trip_and_survival():
         cap = d.payload_capacity
         assert cap > 0
         pv = rng.getrandbits(cap)
-        d.payload_write(BitString(pv, cap, 32))
-        assert d.payload_read().value == pv
-        assert d.payload_read().len_bits == cap
+        d._state |= pv << d._image_bits
+        assert d.validate() == []
         for _ in range(1000):
             # color c-1 never appears, so the container stays deficient
             d.setcolor(rng.randrange(c - 1), rng.randrange(1, m + 1))
-        assert d.payload_read().value == pv
+        assert d._state >> d._image_bits == pv
         assert d.validate() == []
 
 
 def test_payload_dies_with_fullness():
     d = FieldContainer(8, 2, w=16)
     cap = d.payload_capacity
-    d.payload_write(BitString((1 << cap) - 1, cap, 16))
+    assert cap > 0
+    d._state |= ((1 << cap) - 1) << d._image_bits
     d.setcolor(1, 5)  # both colors now occur
     assert d.full
-    with pytest.raises(RuntimeError):
-        d.payload_read()
-    with pytest.raises(RuntimeError):
-        d.payload_write(BitString(0, 0, 16))
+    assert d.validate() == []  # nothing survives above the standard form
     d.setcolor(1, 1)
     d.setcolor(1, 2)
     d.setcolor(1, 3)
@@ -224,16 +225,7 @@ def test_payload_dies_with_fullness():
     d.setcolor(1, 7)
     tr = d.setcolor(1, 8)
     assert tr == Transition("became_deficient", 0, 0, True)
-    assert d.payload_read().value == 0  # fresh free bits come back zeroed
-
-
-def test_payload_write_rejects_oversize():
-    d = FieldContainer(16, 2, w=16)
-    cap = d.payload_capacity
-    with pytest.raises(ValueError):
-        d.payload_write(BitString(0, cap + 1, 16))
-    d.payload_write(BitString(1, 1, 16))  # short writes are fine
-    assert d.payload_read().value == 1
+    assert d._state >> d._image_bits == 0  # fresh free bits come back zeroed
 
 
 def test_argument_errors():

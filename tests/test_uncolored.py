@@ -12,7 +12,7 @@ from choicedict.oracle import (
     iteration_accounting,
     run_equivalence,
 )
-from choicedict.uncolored import UncoloredDict, create, decode_header, encode_header
+from choicedict.uncolored import UncoloredDict, decode_header, encode_header
 from choicedict.words import BitString
 
 
@@ -67,7 +67,7 @@ def test_header_malformed():
 
 
 def test_tail_only_ops():
-    d = create(20, w=8)  # below one segment: a bare bit vector plus audit
+    d = UncoloredDict(20, w=8)  # below one segment: a bare bit vector plus audit
     assert members(d) == []
     assert d.choice() == 0
     for l in (3, 19, 7):
@@ -84,7 +84,7 @@ def test_tail_only_ops():
 
 
 def test_choice_picks_from_the_found_cell():
-    d = create(200, w=8)
+    d = UncoloredDict(200, w=8)
     for l in (40, 38, 170, 199):
         d.insert(l)
     k = d.D1.nonzero()
@@ -110,27 +110,6 @@ def test_matches_naive(n, seed):
 @pytest.mark.parametrize("n", [1000, 4096])
 def test_matches_naive_wide_words(n):
     script = WorkloadScript.generate(n, seed=3, length=800)
-
-    def rebuild():
-        return UncoloredDict(n, w=16), NaiveDict(n)
-
-    rep = run_equivalence(script, *rebuild(), rebuild=rebuild)
-    assert rep.ok, rep
-
-
-RESIZE_WEIGHTS = (
-    ("insert", 0.3),
-    ("delete", 0.2),
-    ("contains", 0.15),
-    ("choice", 0.15),
-    ("expand", 0.12),
-    ("contract", 0.08),
-)
-
-
-@pytest.mark.parametrize("n,seed", [(0, 1), (0, 9), (30, 3), (140, 4)])
-def test_matches_naive_while_resizing(n, seed):
-    script = WorkloadScript.generate(n, seed=seed, length=1200, weights=RESIZE_WEIGHTS)
 
     def rebuild():
         return UncoloredDict(n, w=16), NaiveDict(n)
@@ -170,22 +149,14 @@ def test_exhaustive_short_programs(n, picks):
             _check_against(d, naive)
 
 
-def test_resize_across_segment_boundaries():
-    d = UncoloredDict(0, w=8)
-    ref = set()
-    for i in range(1, 101):
-        bit = i % 3 == 0
-        d.expand(int(bit))
-        if bit:
-            ref.add(i)
-        assert audit_bits(d).core == i + 1
-        assert d.validate() == []
-    assert members(d) == sorted(ref)
-    while d.n:
-        ref.discard(d.n)
-        d.contract()
-        assert members(d) == sorted(ref)
-        assert audit_bits(d).core == d.n + 1
+def test_core_is_n_plus_one_across_segment_boundaries():
+    for n in range(1, 101):
+        d = UncoloredDict(n, w=8)
+        ref = [l for l in range(1, n + 1) if l % 3 == 0]
+        for l in ref:
+            d.insert(l)
+        assert audit_bits(d).core == n + 1
+        assert members(d) == ref
         assert d.validate() == []
 
 
@@ -204,7 +175,7 @@ def _drain(d, log=None):
 
 
 def test_static_iteration():
-    d = create(100, w=8)
+    d = UncoloredDict(100, w=8)
     want = [1, 31, 32, 33, 64, 65, 96, 97, 100]
     for l in want:
         d.insert(l)
@@ -222,7 +193,7 @@ def test_static_iteration():
 
 
 def test_iteration_on_empty_and_uninitialized():
-    d = create(40, w=8)
+    d = UncoloredDict(40, w=8)
     assert d.iter_next() == 0  # nothing was ever begun
     d.iter_init()
     assert not d.iter_more()
@@ -233,7 +204,7 @@ def test_deletion_behind_the_sweep_is_rescued():
     # Four occupied cells; empty the most recently swept one.  The
     # rewiring knocks an unvisited cell out of the sweep's remaining
     # range, so it must reappear through the rescued-segment queue.
-    d = create(128, w=8)
+    d = UncoloredDict(128, w=8)
     for l in (1, 33, 65, 97):
         d.insert(l)
     d.iter_init()
@@ -412,19 +383,6 @@ def test_iteration_access_is_constant_per_step(n, w):
     assert worst <= 16, worst
 
 
-def test_resize_locked_during_iteration():
-    d = create(40, w=8)
-    d.insert(5)
-    d.iter_init()
-    with pytest.raises(RuntimeError):
-        d.expand(1)
-    with pytest.raises(RuntimeError):
-        d.contract()
-    _drain(d)
-    d.expand(1)  # exhaustion lifts the lock
-    d.contract()
-
-
 # -- serialization -----------------------------------------------------
 
 
@@ -467,11 +425,7 @@ def test_deserialize_rejects_corruption():
 
 
 def test_serialize_refusals():
-    with pytest.raises(ValueError):
-        UncoloredDict(40, mode="loose", w=8).serialize()
-    with pytest.raises(ValueError):
-        UncoloredDict(0, w=8).serialize()
-    d = create(40, w=8)
+    d = UncoloredDict(40, w=8)
     d.insert(2)
     d.iter_init()
     with pytest.raises(RuntimeError):
@@ -483,8 +437,10 @@ def test_serialize_refusals():
 
 def test_argument_errors():
     with pytest.raises(ValueError):
-        create(0)
-    d = create(10, w=8)
+        UncoloredDict(0)
+    with pytest.raises(ValueError):
+        UncoloredDict(40, "fast")
+    d = UncoloredDict(10, w=8)
     for bad in (0, 11, -3):
         with pytest.raises(IndexError):
             d.insert(bad)
@@ -492,35 +448,20 @@ def test_argument_errors():
             d.delete(bad)
         with pytest.raises(IndexError):
             d.contains(bad)
-    with pytest.raises(ValueError):
-        d.expand(2)
-    with pytest.raises(ValueError):
-        UncoloredDict(0, w=8).contract()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(0, 48),
+    st.integers(1, 48),
     st.lists(
-        st.tuples(
-            st.sampled_from("idceq k".replace(" ", "")),
-            st.integers(1, 64),
-            st.integers(0, 1),
-        ),
+        st.tuples(st.sampled_from("idcq"), st.integers(1, 64)),
         max_size=40,
     ),
 )
-def test_random_programs_match_naive(n0, prog):
-    d, naive = UncoloredDict(n0, w=8), NaiveDict(n0)
-    for op, l, bit in prog:
-        if op == "e":
-            d.expand(bit)
-            naive.expand(bit)
-        elif op == "k":
-            if d.n:
-                d.contract()
-                naive.contract()
-        elif op == "q":
+def test_random_programs_match_naive(n, prog):
+    d, naive = UncoloredDict(n, w=8), NaiveDict(n)
+    for op, l in prog:
+        if op == "q":
             c = d.choice()
             assert (c == 0) == (not naive.members())
             if c:

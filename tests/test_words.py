@@ -12,11 +12,8 @@ from choicedict.words import (
     FieldView,
     leq_mask,
     min_zero_field,
-    mw_div,
-    mw_mul,
-    nonzero_field_bounds,
     ones_pattern,
-    regionwise_div,
+    regionwise_div_int,
 )
 
 
@@ -32,11 +29,6 @@ def pack_fields(fields, f):
     for i, a in enumerate(fields):
         v |= a << (i * f)
     return v
-
-
-def scan_bounds(fields):
-    nz = [i + 1 for i, a in enumerate(fields) if a]
-    return (nz[0], nz[-1]) if nz else None
 
 
 def scan_min_zero(fields):
@@ -84,13 +76,6 @@ def test_ones_pattern_rejects_bad_shapes():
 
 # ---------------------------------------------------------------- field scans
 
-def test_bounds_spec_examples():
-    v = FieldView(3, 2)
-    assert nonzero_field_bounds(bs(pack_fields([0, 2, 0], 2), 6), v) == (2, 2)
-    assert nonzero_field_bounds(bs(0, 6), v) is None
-    assert nonzero_field_bounds(bs(pack_fields([1, 0, 3], 2), 6), v) == (1, 3)
-
-
 def test_min_zero_spec_examples():
     v = FieldView(3, 1)
     assert min_zero_field(bs(0b111, 3), v) is None
@@ -120,7 +105,6 @@ def test_scans_exhaustive_small():
         for value in range(1 << (m * f)):
             x = bs(value, m * f)
             fl = fields_of(value, m, f)
-            assert nonzero_field_bounds(x, v) == scan_bounds(fl)
             assert min_zero_field(x, v) == scan_min_zero(fl)
 
 
@@ -145,7 +129,6 @@ def test_scans_random_large(data):
     v = FieldView(m, f)
     x = bs(value, m * f)
     fl = fields_of(value, m, f)
-    assert nonzero_field_bounds(x, v) == scan_bounds(fl)
     assert min_zero_field(x, v) == scan_min_zero(fl)
     assert fields_of(leq_mask(x, v, k).value, m, f) == scan_leq(fl, k)
 
@@ -155,48 +138,7 @@ def test_leq_rejects_out_of_range_k():
         leq_mask(bs(0, 4), FieldView(2, 2), 4)
 
 
-# ---------------------------------------------------------------- mul / div
-
-def test_mul_div_trivial():
-    six, seven = bs(6, 8), bs(7, 8)
-    assert mw_mul(six, seven).value == 42
-    one = bs(1, 8)
-    x = bs(173, 8)
-    assert mw_mul(x, one).value == 173
-    assert mw_div(x, one).value == 173
-
-
-def test_div_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        mw_div(bs(5, 4), bs(0, 4))
-
-
-@given(st.integers(0, (1 << 256) - 1), st.integers(1, (1 << 256) - 1))
-@settings(max_examples=200, deadline=None)
-def test_mul_div_match_wide_oracle(x, y):
-    bx, by = bs(x, 256), bs(y, 256)
-    assert mw_mul(bx, by).value == x * y
-    assert mw_div(bx, by).value == x // y
-
-
-@given(st.integers(0, (1 << 120) - 1), st.integers(1, (1 << 120) - 1))
-@settings(max_examples=100, deadline=None)
-def test_div_of_mul_roundtrip(x, y):
-    bx, by = bs(x, 120), bs(y, 120)
-    assert mw_div(mw_mul(bx, by), by).value == x
-
-
-def test_mul_small_word_width():
-    # Shrunken word width forces the multiword paths.
-    x, y = 0xDEADBEEFCAFE, 0x123456789
-    bx = BitString(x, 48, w=8)
-    by = BitString(y, 40, w=8)
-    p = mw_mul(bx, by)
-    assert p.value == x * y
-    assert p.w == 8
-
-
-# ---------------------------------------------------------------- regionwise_div
+# ---------------------------------------------------------------- regionwise_div_int
 
 def scan_regionwise(value, b, r, p):
     out = 0
@@ -207,11 +149,10 @@ def scan_regionwise(value, b, r, p):
 
 
 def test_regionwise_spec_examples():
-    x = bs(pack_fields([7, 10, 3], 4), 12)
-    got = regionwise_div(x, 3, 4, 3)
-    assert fields_of(got.value, 3, 4) == [2, 3, 1]
-    assert regionwise_div(x, 1, 4, 3).value == x.value
-    assert regionwise_div(x, 16, 4, 3).value == 0
+    x = pack_fields([7, 10, 3], 4)
+    assert fields_of(regionwise_div_int(x, 3, 4, 3), 3, 4) == [2, 3, 1]
+    assert regionwise_div_int(x, 1, 4, 3) == x
+    assert regionwise_div_int(x, 16, 4, 3) == 0
 
 
 def test_regionwise_exhaustive_divisors_small():
@@ -221,8 +162,8 @@ def test_regionwise_exhaustive_divisors_small():
         for b in range(1, (1 << r) + 1):
             for _ in range(8):
                 value = rng.getrandbits(r * p)
-                got = regionwise_div(bs(value, r * p), b, r, p)
-                assert got.value == scan_regionwise(value, b, r, p), (r, b, value)
+                got = regionwise_div_int(value, b, r, p)
+                assert got == scan_regionwise(value, b, r, p), (r, b, value)
 
 
 @given(st.data())
@@ -232,13 +173,12 @@ def test_regionwise_random(data):
     p = data.draw(st.integers(1, 40))
     b = data.draw(st.integers(1, 1 << r))
     value = data.draw(st.integers(0, (1 << (r * p)) - 1))
-    got = regionwise_div(bs(value, r * p), b, r, p)
-    assert got.value == scan_regionwise(value, b, r, p)
+    assert regionwise_div_int(value, b, r, p) == scan_regionwise(value, b, r, p)
 
 
 def test_regionwise_rejects_zero_divisor():
-    with pytest.raises(ValueError):
-        regionwise_div(bs(0, 8), 0, 4, 2)
+    with pytest.raises(ZeroDivisionError):
+        regionwise_div_int(0, 0, 4, 2)
 
 
 # ---------------------------------------------------------------- BitString
