@@ -8,9 +8,8 @@ breadth-first search built on the 3-color dictionary.
 from .words import BitString, FieldView
 from .uncolored import UncoloredDict
 from .colored import ColoredDict
-from .colored import create as create_colored
 from .bfs import ForestRecord, Graph, bfs_forest, load_graph, verify_forest
 
 __all__ = ["BitString", "FieldView", "UncoloredDict", "ColoredDict",
-           "create_colored", "Graph", "ForestRecord", "bfs_forest",
-           "load_graph", "verify_forest"]
+           "Graph", "ForestRecord", "bfs_forest", "load_graph",
+           "verify_forest"]

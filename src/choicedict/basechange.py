@@ -75,19 +75,6 @@ def _value_to_fields(x: int, base: int, f: int, s_pad: int, total_bits: int) -> 
     return x
 
 
-def min_square_exponent(c: int, x: BitString) -> int:
-    """Smallest positive t with c**(2**t) > x, by repeated squaring."""
-    if c < 2:
-        raise ValueError("base must be at least 2")
-    t = 1
-    val = c * c
-    xv = int(x)
-    while val <= xv:
-        val *= val
-        t += 1
-    return t
-
-
 def pow2_to_base(z: BitString, d: int, f: int, s: int) -> BitString:
     """Evaluate s f-bit digits of z as a base-d number.
 

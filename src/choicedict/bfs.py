@@ -51,7 +51,7 @@ import sys
 from array import array
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .colored import ColoredDict
+from .colored import ColoredDict, _pick_m
 from .uncolored import UncoloredDict
 
 _GATE_W = 32
@@ -97,6 +97,12 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) outside 1..{n}")
             us.append(u)
             vs.append(v)
+        return cls._from_arrays(n, us, vs, directed)
+
+    @classmethod
+    def _from_arrays(cls, n: int, us: array, vs: array,
+                    directed: bool) -> "Graph":
+        """Build the adjacency of edges (us[i], vs[i]), all in 1..n."""
         m = len(us)
         deg = array("i", bytes(4 * (n + 1)))
         for u in us:
@@ -172,7 +178,8 @@ def load_graph(path: str, fmt: str, directed: bool) -> Graph:
 
 def _load_edgelist(path: str, directed: bool) -> Graph:
     n = m = None
-    edges = []
+    us = array("i")
+    vs = array("i")
     last = 0
     for no, parts in _tokens(path):
         last = no
@@ -185,22 +192,24 @@ def _load_edgelist(path: str, directed: bool) -> Graph:
             _check_header_sizes(n, m, directed, no)
             continue
         u, v = _two_ints(parts, no, "edge endpoints")
-        if len(edges) == m:
+        if len(us) == m:
             raise GraphFormatError(f"more than the declared {m} edges", no)
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphFormatError(f"vertex out of range 1..{n}", no)
-        edges.append((u, v))
+        us.append(u)
+        vs.append(v)
     if n is None:
         raise GraphFormatError("missing \"n m\" header line", last or 1)
-    if len(edges) != m:
+    if len(us) != m:
         raise GraphFormatError(
-            f"declared {m} edges but found {len(edges)}", last or 1)
-    return Graph.from_edges(n, edges, directed)
+            f"declared {m} edges but found {len(us)}", last or 1)
+    return Graph._from_arrays(n, us, vs, directed)
 
 
 def _load_dimacs(path: str, directed: bool) -> Graph:
     n = m = None
-    edges = []
+    us = array("i")
+    vs = array("i")
     last = 0
     for no, parts in _tokens(path):
         last = no
@@ -224,19 +233,20 @@ def _load_dimacs(path: str, directed: bool) -> Graph:
             if len(parts) not in (3, 4):  # optional weight, ignored
                 raise GraphFormatError("arc line must read \"a u v [w]\"", no)
             u, v = _two_ints(parts[1:3], no, "arc endpoints")
-            if len(edges) == m:
+            if len(us) == m:
                 raise GraphFormatError(f"more than the declared {m} arcs", no)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphFormatError(f"vertex out of range 1..{n}", no)
-            edges.append((u, v))
+            us.append(u)
+            vs.append(v)
             continue
         raise GraphFormatError(f"unknown record type {kind!r}", no)
     if n is None:
         raise GraphFormatError("missing problem line", last or 1)
-    if len(edges) != m:
+    if len(us) != m:
         raise GraphFormatError(
-            f"declared {m} arcs but found {len(edges)}", last or 1)
-    return Graph.from_edges(n, edges, directed)
+            f"declared {m} arcs but found {len(us)}", last or 1)
+    return Graph._from_arrays(n, us, vs, directed)
 
 
 class ForestRecord(NamedTuple):
@@ -316,10 +326,13 @@ class _ByteStore:
     backend = "byte"
 
     def __init__(self, n: int, container_elems: Optional[int]):
-        ref = ColoredDict(n, 3, container_elems=container_elems)
+        # the container size `ColoredDict(n, 3, container_elems)` picks
+        m = container_elems if container_elems is not None else _pick_m(n, 3, 2, False)
+        if m < 1:
+            raise ValueError("containers need at least one element")
         self.n = n
-        self.N = ref.N
-        self.m = ref.m
+        self.m = m
+        self.N = n // m
         self.colors = bytearray(n + 1)
 
     def color(self, v: int) -> int:

@@ -1,35 +1,159 @@
-"""Constant-time-initializable cell array with in-place barrier/matching.
+"""The in-place chain: constant-time initialization by barrier/matching.
 
-Stores a logical sequence a_1..a_N of 2b-bit cell values over a raw array
-A of N cells, initializable in O(1) by placing a barrier index mu at N.
-Cells left of the barrier (k <= mu) and right of it are paired by a
-matching encoded in the cells themselves; a cell is *weak* exactly when
-its logical value is 0, and weak cells' storage is arbitrary, which is
-what makes initialization free.  The rules:
+One technique (Hagerup & Kammer, "Succinct choice dictionaries"; Katoh &
+Goto, "In-place initializable arrays") underlies both the n+1-bit
+uncolored dictionary and the colored one.  Cells 1..N are split by a
+barrier index mu into a left side (k <= mu) and a right side, and each
+cell is *strong* or *weak*.  A fresh structure puts the barrier at N and
+needs no other work, whatever the memory holds.  The rules:
 
-* k is matched to l iff their mate fields point at each other and
-  exactly one of the two is left of the barrier.
+* k is matched to l iff their mate fields name each other and exactly
+  one of the two is left of the barrier.
 * k is strong iff (matched and k <= mu) or (unmatched and k > mu).
-* a_k = 0 iff k is weak; a strong right cell holds its value in A[k]; a
-  strong left cell holds the low half in A[k] and the high half in
-  A[mate(k)], both in the cells' lower halves.
 * mu always equals the number of weak cells.
+* A strong right cell holds its value verbatim.  A strong left cell
+  lends the bits under its mate field (its *displaced* bits) to the
+  pointer; they sit in its weak partner's *top* field.  Weak cells keep
+  their mate and top fields free for this.
+* A write that keeps the strength rewrites in place; a strong right
+  write severs any edge its new bits fake, at the far end (a weak left
+  cell, whose mate field is free).  Weak -> strong moves mu left: the
+  cell t = mu crosses to the right with its value and the partners left
+  unmatched are paired.  Strong -> weak moves mu right: the cell
+  h = mu + 1 crosses to the left and hands its displaced bits over.
 
-Bit-exact cell layout (cell k occupies storage bits [(k-1)*2b, k*2b)),
-with b = 2w for word size w: lower half = bits [0, b); upper half =
-bits [b, 2b), of which bits [b, b+p) are the mate field (p = b//2,
-holding a 1-based cell index) and bits [b+p, b+2p) of cell 1 hold mu
-itself whenever the out-of-array flag bit says mu >= 1.  The store
-therefore occupies exactly 2bN + 1 bits.
+`Chain` is the engine; two classes instantiate it.
 
-Strong cells never hold 0: a write of 0 runs the deletion path and makes
-the cell weak instead.
+* `ChainStore` (here) is the uncolored instantiation: a weak cell reads
+  0 and its storage is free.  Cell k occupies storage bits
+  [(k-1)*2b, k*2b) with b = 2w for word size w; the lower half [0, b) is
+  a strong left cell's kept value bits and a weak right cell's top
+  field, the upper half [b, 2b) is the displaced field, whose bits
+  [b, b+p) (p = b//2) are the mate field.  mu is hidden in bits
+  [b+p, b+2p) of cell 1 whenever the out-of-array flag bit says
+  mu >= 1, so the store occupies exactly 2bN + 1 bits.
+* `colored.ColoredDict` is the colored instantiation: cells are
+  container slots, strong means full and weak means deficient, whose
+  compact state leaves the mate and top fields in its free bits; mu is
+  the `_mu` attribute.
 """
 
 from .words import DEFAULT_W, MAX_BITS, CapacityError, charge
 
 
-class ChainStore:
+class Chain:
+    """Barrier/matching engine over cells 1..N; see the module docstring.
+
+    The instantiation provides `N`, `cell_bits`, the mate field
+    (`_mate_off`, `_mate_bits`), the top field (`_top_off`, `_top_bits`;
+    the displaced field is the `_top_bits` bits at `_mate_off`), raw
+    access (`_field`, `_set_field`; whole cells go through them unless
+    `_cell`, `_set_cell` are given), the barrier (`_store_mu`, with
+    `_flag` set iff mu >= 1) and weak cells' contents (`_weak`,
+    `_set_weak`).  Callers pass mu in.
+    """
+
+    __slots__ = ()
+
+    def _cell(self, k):
+        return self._field(k, 0, self.cell_bits)
+
+    def _set_cell(self, k, v):
+        self._set_field(k, 0, self.cell_bits, v)
+
+    def _set_matefield(self, k, g):
+        self._set_field(k, self._mate_off, self._mate_bits, g)
+
+    def _top(self, k):
+        return self._field(k, self._top_off, self._top_bits)
+
+    def _set_top(self, k, bits):
+        self._set_field(k, self._top_off, self._top_bits, bits)
+
+    def _mate(self, k, mu):
+        """Partner of k under barrier mu, or k itself."""
+        off, width = self._mate_off, self._mate_bits
+        g = self._field(k, off, width)
+        if (k <= mu < g <= self.N or 1 <= g <= mu < k) and self._field(g, off, width) == k:
+            return g
+        return k
+
+    def _get(self, k, mu):
+        """(value, strong, partner) of cell k under barrier mu."""
+        kp = self._mate(k, mu)
+        if kp == k:
+            if k > mu:
+                return self._cell(k), True, k
+        elif k <= mu:
+            off = self._mate_off
+            kept = self._cell(k) & ~(((1 << self._top_bits) - 1) << off)
+            return kept | (self._top(kp) << off), True, kp
+        return self._weak(k), False, kp
+
+    def _put(self, k, kp, mu, v):
+        """Store v in strong k, whose partner is kp, under barrier mu."""
+        if kp == k:
+            self._set_cell(k, v)
+            g = self._mate(k, mu)
+            if g != k:  # the new bits fake an edge: break it at the far end
+                self._set_matefield(g, g)
+            return
+        off, width = self._mate_off, self._top_bits
+        self._set_field(k, 0, off, v & ((1 << off) - 1))
+        hi = off + width
+        if hi < self.cell_bits:
+            self._set_field(k, hi, self.cell_bits - hi, v >> hi)
+        self._set_top(kp, (v >> off) & ((1 << width) - 1))
+
+    def _strengthen(self, k, kp, mu, v):
+        """Weak k (partner kp) takes strong value v; mu moves left."""
+        t = mu
+        u, _, tp = self._get(t, t)
+        self._store_mu(t - 1)
+        self._put(t, t, t - 1, u)
+        if k != tp:
+            self._set_matefield(kp, tp)
+            self._set_matefield(tp, kp)
+            if k > t:
+                # kp's displaced bits move from k's top field to tp's.
+                self._set_top(tp, self._top(k))
+        self._put(k, tp if k < t else k, t - 1, v)
+
+    def _weaken(self, k, kp, mu, v):
+        """Strong k (partner kp) takes weak value v; mu moves right."""
+        h = mu + 1
+        hp = self._mate(h, mu)
+        if hp != k:
+            # hp's displaced bits: h's own (h strong) or its top field.
+            disp = self._top(h) if hp != h else self._field(h, self._mate_off, self._top_bits)
+        self._store_mu(h)
+        self._set_weak(k, v)
+        self._set_matefield(kp, hp)
+        self._set_matefield(hp, kp)
+        if hp != k:
+            self._set_top(kp, disp)
+
+    def _chain_faults(self, mu, cell_faults):
+        """O(N) scan of the weak count and the flag against barrier mu,
+        plus `cell_faults(k, value, strong)` for every cell.  Matched
+        pairs need no check: `_mate` only reports reciprocal pairs that
+        straddle the barrier."""
+        out = []
+        weak = 0
+        for k in range(1, self.N + 1):
+            v, strong, _ = self._get(k, mu)
+            weak += not strong
+            out += cell_faults(k, v, strong)
+        if weak != mu:
+            out.append(f"{weak} weak cells but barrier at {mu}")
+        if self._flag != (1 if mu else 0):
+            out.append(f"flag {self._flag} with barrier at {mu}")
+        return out
+
+
+class ChainStore(Chain):
+    """N cells of 2b bits that read 0 until written; 2bN + 1 bits."""
+
     __slots__ = (
         "N",
         "cell_bits",
@@ -38,6 +162,7 @@ class ChainStore:
         "w",
         "_a",
         "_flag",
+        "_mate_off", "_mate_bits", "_top_off", "_top_bits",
         "cell_reads",
         "cell_writes",
     )
@@ -59,6 +184,8 @@ class ChainStore:
         # mate field and the hidden barrier index.
         if self.b < 2 * (2 * self.b * N - 1).bit_length():
             raise ValueError(f"word size {w} too small to hide the barrier at N={N}")
+        self._mate_off, self._mate_bits = self.b, self.p
+        self._top_off, self._top_bits = 0, self.b
         # Constant-time start: adopt whatever the memory holds, place the
         # barrier at the right end.  No matching edge can exist with
         # mu = N (nothing is right of the barrier), so garbage is safe.
@@ -69,17 +196,6 @@ class ChainStore:
         self._store_mu(N)
 
     # -- raw cell access (everything below counts and charges) --------
-
-    def _cell(self, k: int) -> int:
-        self.cell_reads += 1
-        charge(self.cell_bits, self.w)
-        return (self._a >> ((k - 1) * self.cell_bits)) & ((1 << self.cell_bits) - 1)
-
-    def _set_cell(self, k: int, v: int) -> None:
-        self.cell_writes += 1
-        charge(self.cell_bits, self.w)
-        sh = (k - 1) * self.cell_bits
-        self._a = (self._a & ~(((1 << self.cell_bits) - 1) << sh)) | (v << sh)
 
     def _field(self, k: int, off: int, width: int) -> int:
         self.cell_reads += 1
@@ -93,18 +209,6 @@ class ChainStore:
         sh = (k - 1) * self.cell_bits + off
         self._a = (self._a & ~(((1 << width) - 1) << sh)) | (v << sh)
 
-    def _lower(self, k: int) -> int:
-        return self._field(k, 0, self.b)
-
-    def _set_lower(self, k: int, v: int) -> None:
-        self._set_field(k, 0, self.b, v)
-
-    def _matefield(self, k: int) -> int:
-        return self._field(k, self.b, self.p)
-
-    def _set_matefield(self, k: int, v: int) -> None:
-        self._set_field(k, self.b, self.p, v)
-
     def _load_mu(self) -> int:
         if not self._flag:
             return 0
@@ -115,6 +219,12 @@ class ChainStore:
         if m >= 1:
             self._set_field(1, self.b + self.p, self.p, m)
 
+    def _weak(self, k: int) -> int:
+        return 0
+
+    def _set_weak(self, k: int, v: int) -> None:
+        pass  # a weak cell's storage is free
+
     # -- the operations ------------------------------------------------
 
     @property
@@ -122,75 +232,34 @@ class ChainStore:
         return self._load_mu()
 
     def mate(self, k: int) -> int:
-        kp = self._matefield(k)
-        mu = self._load_mu()
-        if (1 <= k <= mu < kp <= self.N or 1 <= kp <= mu < k <= self.N) and (
-            self._matefield(kp) == k
-        ):
-            return kp
-        return k
+        return self._mate(k, self._load_mu())
 
     def read(self, k: int) -> int:
         if not 1 <= k <= self.N:
             raise IndexError(k)
-        mu = self._load_mu()
-        if self.mate(k) <= mu:
-            return 0
-        if k > mu:
-            return self._cell(k)
-        return self._lower(k) | (self._lower(self.mate(k)) << self.b)
+        return self._get(k, self._load_mu())[0]
 
     def nonzero(self):
         """Some index holding a nonzero value, or None."""
-        if self._load_mu() == self.N:
+        mu = self._load_mu()
+        if mu == self.N:
             return None
-        return self.mate(self.N)
-
-    def simple_write(self, k: int, x: int) -> None:
-        """Raw value store for a strong k; severs a faked matching edge.
-
-        Internal: callers must keep the weak/strong bookkeeping straight
-        (see `write`).
-        """
-        if k <= self._load_mu():
-            self._set_lower(k, x & ((1 << self.b) - 1))
-            self._set_lower(self.mate(k), x >> self.b)
-        else:
-            self._set_cell(k, x)
-            kp = self.mate(k)
-            if kp != k:
-                self._set_matefield(kp, kp)
+        return self._mate(self.N, mu)
 
     def write(self, k: int, x: int) -> None:
         if not 1 <= k <= self.N:
             raise IndexError(k)
         if not 0 <= x < (1 << self.cell_bits):
             raise ValueError(f"value does not fit in {self.cell_bits} bits")
-        x0 = self.read(k)
-        kp = self.mate(k)
-        if x:
-            if not x0:
-                # Insertion: the cell at the barrier crosses to the right.
-                mu = self._load_mu()
-                mup = self.mate(mu)
-                u = self.read(mu)
-                self._store_mu(mu - 1)
-                self.simple_write(mu, u)
-                if k != mup:
-                    self._set_matefield(kp, mup)
-                    self._set_matefield(mup, kp)
-                    self._set_lower(mup, self._lower(k))
-            self.simple_write(k, x)
-        elif x0:
-            # Deletion: the cell right of the barrier crosses to the left.
-            mu = self._load_mu()
-            mup = self.mate(mu + 1)
-            v = self.read(mup)
-            self._store_mu(mu + 1)
-            self._set_matefield(kp, mup)
-            self._set_matefield(mup, kp)
-            if mup != k:
-                self.simple_write(mup, v)
+        mu = self._load_mu()
+        kp = self._mate(k, mu)
+        if (kp != k) == (k <= mu):
+            if x:
+                self._put(k, kp, mu, x)
+            else:
+                self._weaken(k, kp, mu, 0)
+        elif x:
+            self._strengthen(k, kp, mu, x)
 
     # -- diagnostics ---------------------------------------------------
 
@@ -207,24 +276,8 @@ class ChainStore:
 
     def validate(self):
         """O(N) invariant scan; returns a list of violation strings."""
-        out = []
         mu = self._load_mu()
         if not 0 <= mu <= self.N:
-            out.append(f"mu={mu} outside [0, {self.N}]")
-            return out
-        if self._flag != (1 if mu >= 1 else 0):
-            out.append(f"flag={self._flag} inconsistent with mu={mu}")
-        weak = 0
-        for k in range(1, self.N + 1):
-            l = self.mate(k)
-            if self.mate(l) != k:
-                out.append(f"mate(mate({k})) = {self.mate(l)} != {k}")
-            if l != k and not (k <= mu < l or l <= mu < k):
-                out.append(f"pair ({k},{l}) does not straddle the barrier")
-            if self.mate(k) <= mu:
-                weak += 1
-            elif self.read(k) == 0:
-                out.append(f"strong cell {k} holds 0")
-        if weak != mu:
-            out.append(f"mu={mu} but {weak} weak cells")
-        return out
+            return [f"mu={mu} outside [0, {self.N}]"]
+        return self._chain_faults(
+            mu, lambda k, v, strong: [f"strong cell {k} holds 0"] if strong and not v else [])

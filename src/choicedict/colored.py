@@ -13,12 +13,11 @@ one `container` engine whose state lives in a fixed-width slot; a
 deficient (compact) state leaves free bits, and those free bits fund
 the bookkeeping:
 
-* A barrier mu counts the deficient containers.  A matching pairs
-  every full container at index <= mu with a deficient partner above
-  the barrier and vice versa, so "strong" (full) and "weak" (compact)
-  cells can be told apart in constant time by one reciprocity probe.
-  A strong matched cell lends the top bits of its slot to the mate
-  pointer; the displaced value bits sit in the partner's top field.
+* The containers are the cells of the in-place chain of `chainstore`:
+  full containers are its strong cells and deficient ones its weak
+  cells, whose free bits hold the mate and top fields.  The barrier mu
+  therefore counts the deficient containers, and full and deficient
+  containers are told apart in constant time.
 * Per color j, a side membership dictionary D_j over {1..N} remembers
   which containers contain color j.  The side dictionaries have fixed
   universe N and are kept exact for every container ever written;
@@ -42,6 +41,7 @@ ever handed out while they wear the color.
 from .words import CapacityError, DEFAULT_W, MAX_BITS, charge
 from .container import FieldContainer, NumeralContainer, _succ_in_fields
 from .uncolored import UncoloredDict
+from .chainstore import Chain
 
 _SIDE_W = 32  # word size for the side dictionaries; ample for any N here
 
@@ -104,7 +104,7 @@ class _ColorIter:
         self.buffered = 0        # element promised by iter_more
 
 
-class ColoredDict:
+class ColoredDict(Chain):
     """c-color choice dictionary over {1..n}; see the module docstring."""
 
     def __init__(self, n, c, w=DEFAULT_W, container_elems=None):
@@ -128,17 +128,17 @@ class ColoredDict:
         self.m = m
         self.N = n // m
         self.m_s = n - self.N * m
-        self._image, self._slot = _geometry(m, c, self.f, self._pow2)
+        self._image, self.cell_bits = _geometry(m, c, self.f, self._pow2)
         cap = _capacity(m, c, self.f, self._pow2)
-        self._R = max(1, self.N.bit_length())
-        if self.N >= 1 and cap < 2 * self._R:
+        # The chain's mate field and, below it, the top field sit at the
+        # top of a deficient container's free bits.
+        R = self._mate_bits = self._top_bits = max(1, self.N.bit_length())
+        if self.N >= 1 and cap < 2 * R:
             raise ValueError(
                 f"container of {m} elements leaves {cap} free bits, "
-                f"fewer than the {2 * self._R} the matching fields need")
-        anchor = self._image + cap
-        self._mateoff = anchor - self._R
-        self._topoff = anchor - 2 * self._R
-        self._rmask = (1 << self._R) - 1
+                f"fewer than the {2 * R} the matching fields need")
+        self._mate_off = self._image + cap - R
+        self._top_off = self._mate_off - R
         self._fmask = (1 << self.f) - 1
         # Mutable state.  Everything here is O(1) words; container slots
         # and the scratch engine come into existence on first use.
@@ -165,7 +165,7 @@ class ColoredDict:
             cls = FieldContainer if self._pow2 else NumeralContainer
             d = cls(self.m, self.c, self.w)
             assert d._image_bits == self._image, "geometry drift"
-            assert d._standard_bits == self._slot, "geometry drift"
+            assert d._standard_bits == self.cell_bits, "geometry drift"
             self._default = d._state
             self._scratch = d
         return self._scratch
@@ -176,12 +176,13 @@ class ColoredDict:
         sc.full = full
         return sc
 
+    # -- raw slot access, as the chain engine needs it ------------------
+
     def _cell(self, k):
-        charge(self._slot, self.w)
+        charge(self.cell_bits, self.w)
         v = self._cells.get(k)
         if v is None:
-            if self._default is None:
-                self._ensure_scratch()
+            self._ensure_scratch()
             return self._default
         return v
 
@@ -192,76 +193,34 @@ class ColoredDict:
         here; all later membership upkeep runs through setcolor.
         """
         if k not in self._cells:
-            if self._default is None:
-                self._ensure_scratch()
-            self._cells[k] = self._default
-            charge(self._slot, self.w)
+            self._cells[k] = self._cell(k)
             d0 = self._side()[0]
             if not d0.contains(k):
                 d0.insert(k)
 
-    def _put(self, k, state):
+    def _set_cell(self, k, state):
         self._touch(k)
-        charge(self._slot, self.w)
+        charge(self.cell_bits, self.w)
         self._cells[k] = state
 
-    # -- matching fields -----------------------------------------------
+    def _field(self, k, off, width):
+        charge(width, self.w)
+        return (self._cells.get(k, 0) >> off) & ((1 << width) - 1)
 
-    def _read_mate(self, k):
-        charge(self._R, self.w)
-        v = self._cells.get(k)
-        return (v >> self._mateoff) & self._rmask if v is not None else 0
-
-    def _read_top(self, k):
-        charge(self._R, self.w)
-        v = self._cells.get(k)
-        return (v >> self._topoff) & self._rmask if v is not None else 0
-
-    def _set_mate(self, state, g):
-        return (state & ~(self._rmask << self._mateoff)) | (g << self._mateoff)
-
-    def _write_mate(self, k, g):
+    def _set_field(self, k, off, width, bits):
         self._touch(k)
-        charge(self._R, self.w)
-        self._cells[k] = self._set_mate(self._cells[k], g)
+        charge(width, self.w)
+        self._cells[k] = (self._cells[k] & ~(((1 << width) - 1) << off)) | (bits << off)
 
-    def _write_top(self, k, bits):
-        self._touch(k)
-        charge(self._R, self.w)
-        off = self._topoff
-        self._cells[k] = (self._cells[k] & ~(self._rmask << off)) | (bits << off)
+    _weak = _cell  # a deficient container's state is its slot
+    _set_weak = _set_cell
 
-    def _mate_of(self, k):
-        """Partner of k under the matching, or k itself.
-
-        An edge exists only if both pointers agree and the pair straddles
-        the barrier; anything else in the mate field is value bits or
-        leftovers and is ignored.
-        """
-        g = self._read_mate(k)
-        if g < 1 or g > self.N or g == k:
-            return k
-        if (k <= self._mu) == (g <= self._mu):
-            return k
-        return g if self._read_mate(g) == k else k
-
-    def _assemble(self, k):
-        """(state, full, partner) with split storage resolved."""
-        kp = self._mate_of(k)
-        strong = (kp != k) == (k <= self._mu)
-        state = self._cell(k)
-        if strong and kp != k:
-            state = self._set_mate(state, 0) | (self._read_top(kp) << self._mateoff)
-        return state, strong, kp
-
-    def _eliminate(self, i):
-        # i just became a standard cell whose mate field is value bits;
-        # if those bits fake a reciprocal edge, break it at the far end
-        # (necessarily a weak cell, where the field is free payload).
-        g = self._read_mate(i)
-        if 1 <= g <= self.N and g != i and (i <= self._mu) != (g <= self._mu) \
-                and self._read_mate(g) == i:
-            self._write_mate(g, g)
+    def _store_mu(self, m):
+        self._mu = m
+        flag = 1 if m else 0
+        if flag != self._flag:
+            self._flag = flag
+            charge(1, self.w)
 
     # -- element plumbing ----------------------------------------------
 
@@ -282,7 +241,7 @@ class ColoredDict:
         k, pos = self._route(l)
         if k == 0:
             return self._surplus_color(pos)
-        state, full, _ = self._assemble(k)
+        state, full, _ = self._get(k, self._mu)
         return self._load(state, full).color(pos)
 
     def container_index(self, l):
@@ -303,7 +262,7 @@ class ColoredDict:
             if count:
                 charge(count * self.f, self.w)
         elif 1 <= k <= self.N:
-            state, full, _ = self._assemble(k)
+            state, full, _ = self._get(k, self._mu)
             sc = self._load(state, full)
             if not full and not (sc._z() >> j) & 1:
                 return []
@@ -324,7 +283,7 @@ class ColoredDict:
         if self.N:
             k = self._side()[j].choice()
             if k:
-                state, full, _ = self._assemble(k)
+                state, full, _ = self._get(k, self._mu)
                 q = self._load(state, full).successor(j, 0)
                 assert q, "side dictionary out of sync"
                 return (k - 1) * self.m + q
@@ -363,90 +322,27 @@ class ColoredDict:
                 charge(self.f, self.w)
                 self._surplus = (self._surplus & ~(self._fmask << off)) | (j << off)
             return
-        state, strong, kp = self._assemble(k)
+        mu = self._mu
+        state, strong, kp = self._get(k, mu)
         sc = self._load(state, strong)
         tr = sc.setcolor(j, pos)
         if tr.was is None:
             return
         if tr.kind == "none":
             if strong:
-                if kp != k:
-                    self._write_top(kp, (sc._state >> self._mateoff) & self._rmask)
-                    self._put(k, self._set_mate(sc._state, kp))
-                else:
-                    self._put(k, sc._state)
+                self._put(k, kp, mu, sc._state)
             else:
-                self._put(k, sc._state)
+                self._set_cell(k, sc._state)
                 if tr.new_first:
                     self._side()[j].insert(k)
                 if tr.old_gone:
                     self._side()[tr.was].delete(k)
         elif tr.kind == "became_full":
-            self._insertion(k, kp, sc._state, j)
+            self._side()[j].insert(k)
+            self._strengthen(k, kp, mu, sc._state)
         else:
-            self._deletion(k, kp, sc._state, tr.j0)
-
-    def _insertion(self, k, kp, full_state, j):
-        """Weak container k filled up: move the barrier left by one.
-
-        The cell at the old barrier position switches sides; depending on
-        whether it, k, and their partners coincide, its digits are
-        restored from a top field and the orphaned partners re-paired.
-        """
-        assert self._mu >= 1, "a weak container implies a positive barrier"
-        self._side()[j].insert(k)
-        mu_t = self._mu
-        top_k = self._read_top(k)
-        mu_p = self._mate_of(mu_t)
-        self._mu = mu_t - 1
-        if self._mu == 0 and self._flag:
-            self._flag = 0
-            charge(1, self.w)
-        if mu_p != mu_t:
-            # mu_t was strong matched; bring its displaced bits home.
-            ab = top_k if mu_p == k else self._read_top(mu_p)
-            self._put(mu_t, self._set_mate(self._cell(mu_t), ab))
-            self._eliminate(mu_t)
-        if k != mu_p:
-            if k <= self._mu:
-                # k stays left of the barrier: pair it with mu_p.
-                self._write_top(mu_p, (full_state >> self._mateoff) & self._rmask)
-                self._write_mate(mu_p, k)
-                self._put(k, self._set_mate(full_state, mu_p))
-            else:
-                self._put(k, full_state)
-                self._eliminate(k)
-                assert kp != k, "a weak cell right of the barrier has a partner"
-                self._write_top(mu_p, top_k)
-                self._write_mate(mu_p, kp)
-                self._write_mate(kp, mu_p)
-        else:
-            self._put(k, full_state)
-            self._eliminate(k)
-
-    def _deletion(self, k, kp, compact_state, j0):
-        """Strong container k lost a color: move the barrier right.
-
-        k turns weak (compact, payload zeroed); the cell entering the
-        left side gives up its top bits, and k's old partner is paired
-        with the entering cell's old partner.
-        """
-        assert self._mu < self.N, "a strong container implies mu < N"
-        self._side()[j0].delete(k)
-        mu_h = self._mu + 1
-        mu_p = self._mate_of(mu_h)
-        self._mu = mu_h
-        if mu_h == 1 and not self._flag:
-            self._flag = 1
-            charge(1, self.w)
-        if mu_p != k:
-            v = self._read_top(mu_h) if mu_p != mu_h else self._read_mate(mu_h)
-            self._put(k, compact_state)
-            self._write_mate(kp, mu_p)
-            self._write_mate(mu_p, kp)
-            self._write_top(kp, v)
-        else:
-            self._put(k, compact_state)
+            self._side()[tr.j0].delete(k)
+            self._weaken(k, kp, mu, sc._state)
 
     # -- iteration -----------------------------------------------------
 
@@ -507,7 +403,7 @@ class ColoredDict:
         """
         while True:
             if it.k:
-                state, full, _ = self._assemble(it.k)
+                state, full, _ = self._get(it.k, self._mu)
                 q = self._load(state, full).successor(j, it.pos)
                 if q:
                     it.pos = q
@@ -548,9 +444,12 @@ class ColoredDict:
     # -- audits --------------------------------------------------------
 
     def bits_used(self):
-        """Bit budget by role, quiescent side exactly c*(N+1) + headers."""
+        """Bit budget by role: core N*cell_bits + m_s*f + 1 (the flag);
+        side c*(N+1) + 2*bitlen(N) (D_j, mu and the probe); iteration
+        5*lg n + 4 plus D_j's cursor per open color; transient one slot
+        once the scratch container exists."""
         lw = max(1, self.n.bit_length())
-        core = self.N * self._slot + self.m_s * self.f + 1
+        core = self.N * self.cell_bits + self.m_s * self.f + 1
         side = 0
         if self.N:
             # strict side dictionaries hold exactly N+1 bits apiece,
@@ -564,43 +463,33 @@ class ColoredDict:
             it_bits += 5 * lw + 4
             if self._D is not None:
                 it_bits += self._D[j].bits_used()["iteration"]
-        transient = self._slot if self._scratch is not None else 0
+        transient = self.cell_bits if self._scratch is not None else 0
         return {"core": core, "side": side, "iteration": it_bits,
                 "transient": transient}
 
     def validate(self):
         """Exhaustive structural check; returns a list of complaints."""
-        bad = []
         occ = {}
-        weak = 0
-        for k in range(1, self.N + 1):
+
+        def container_faults(k, state, strong):
+            bad = []
             raw = self._cells.get(k)
-            if raw is not None and raw >> self._slot:
+            if raw is not None and raw >> self.cell_bits:
                 bad.append(f"cell {k} wider than its slot")
-            state, strong, kp = self._assemble(k)
             sc = self._load(state, strong)
-            for msg in sc.validate():
-                bad.append(f"container {k}: {msg}")
-            cols = {sc.color(p) for p in range(1, self.m + 1)}
-            occ[k] = cols
-            full = len(cols) == self.c
-            if full != strong:
-                bad.append(f"container {k}: full={full} but geometry says "
-                           f"strong={strong}")
-            if not full:
-                weak += 1
+            bad += [f"container {k}: {msg}" for msg in sc.validate()]
+            occ[k] = cols = {sc.color(p) for p in range(1, self.m + 1)}
+            if (len(cols) == self.c) != strong:
+                bad.append(f"container {k}: full={not strong} but geometry "
+                           f"says strong={strong}")
             if raw is None:
                 if cols != {0}:
                     bad.append(f"container {k}: untouched but not all color 0")
                 if k > self._mu:
                     bad.append(f"container {k}: untouched right of the barrier")
-            if kp != k:
-                if self._mate_of(kp) != k:
-                    bad.append(f"matching at {k} not reciprocal")
-                if (k <= self._mu) == (kp <= self._mu):
-                    bad.append(f"pair ({k},{kp}) does not straddle the barrier")
-        if self.N and weak != self._mu:
-            bad.append(f"{weak} weak containers but barrier at {self._mu}")
+            return bad
+
+        bad = self._chain_faults(self._mu, container_faults)
         if self.N:
             side = self._side()
             for j in range(self.c):
@@ -611,21 +500,9 @@ class ColoredDict:
                         j > 0 or k in self._cells or k < self._probe)
                     if side[j].contains(k) != want:
                         bad.append(f"D_{j} wrong about container {k}")
-        if self._flag != (1 if self._mu > 0 else 0):
-            bad.append(f"flag {self._flag} with barrier at {self._mu}")
         for pos in range(1, self.m_s + 1):
             if self._surplus_color(pos) >= self.c:
                 bad.append(f"surplus element {pos} wears no valid color")
         if self._surplus >> (self.m_s * self.f):
             bad.append("surplus field array wider than its elements")
         return bad
-
-
-def create(n, c, w=DEFAULT_W, container_elems=None):
-    """Fresh dictionary over {1..n}, everything color 0; O(1) time.
-
-    `container_elems` overrides the container sizing formula (handy in
-    tests for forcing many small containers); sizes that cannot host
-    the matching fields are rejected.
-    """
-    return ColoredDict(n, c, w=w, container_elems=container_elems)

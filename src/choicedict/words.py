@@ -129,16 +129,6 @@ def high_bits(m: int, f: int) -> int:
     return ones(m, f) << (f - 1)
 
 
-def ones_pattern(m: int, f: int, w: int = DEFAULT_W) -> BitString:
-    """The repeated-pattern constant 1_{m,f}: value 1 in each field."""
-    if m < 1 or f < 1:
-        raise ValueError("need m >= 1 and f >= 1")
-    if m * f > MAX_BITS:
-        raise CapacityError(f"{m}*{f} bits exceed MAX_BITS")
-    charge(m * f, w)
-    return BitString(ones(m, f), m * f, w)
-
-
 def _nonzero_high(xv: int, m: int, f: int) -> int:
     # Bit f-1 of each field of the result is set iff that field of xv is
     # nonzero; all other bits are clear.

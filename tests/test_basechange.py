@@ -7,7 +7,6 @@ import choicedict.basechange as bc
 from choicedict.basechange import (
     base_to_pow2,
     change_base_batched,
-    min_square_exponent,
     pow2_to_base,
 )
 from choicedict.words import BitString
@@ -47,21 +46,6 @@ def bs(value, len_bits):
 
 
 # ---------------------------------------------------------------- examples
-
-def test_min_square_exponent_examples():
-    assert min_square_exponent(3, bs(10, 8)) == 2
-    assert min_square_exponent(2, bs(0, 8)) == 1
-
-
-@given(st.integers(2, 7), st.integers(0, 10**12))
-@settings(max_examples=200, deadline=None)
-def test_min_square_exponent_matches_loop(c, x):
-    t = min_square_exponent(c, bs(x, 64))
-    assert t >= 1
-    assert c ** (2 ** t) > x
-    if t > 1:
-        assert c ** (2 ** (t - 1)) <= x
-
 
 def test_pow2_to_base_examples():
     assert pow2_to_base(bs(pack_fields([1, 0, 1], 2), 6), 2, 2, 3).value == 5

@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from choicedict.words import (
     BitString,
-    CapacityError,
     FieldView,
     leq_mask,
     min_zero_field,
-    ones_pattern,
     regionwise_div_int,
 )
 
@@ -44,34 +42,6 @@ def scan_leq(fields, k):
 
 def bs(value, len_bits, w=64):
     return BitString(value, len_bits, w)
-
-
-# ---------------------------------------------------------------- ones_pattern
-
-def test_ones_pattern_known_values():
-    assert ones_pattern(3, 2).value == 21
-    assert ones_pattern(4, 1).value == 15
-    for f in (1, 3, 17):
-        assert ones_pattern(1, f).value == 1
-
-
-def test_ones_pattern_length_and_fields():
-    p = ones_pattern(5, 3)
-    assert p.len_bits == 15
-    assert fields_of(p.value, 5, 3) == [1] * 5
-
-
-def test_ones_pattern_saturates_every_field():
-    for m, f in [(3, 2), (7, 5), (2, 9)]:
-        sat = ones_pattern(m, f).value * ((1 << f) - 1)
-        assert fields_of(sat, m, f) == [(1 << f) - 1] * m
-
-
-def test_ones_pattern_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        ones_pattern(0, 3)
-    with pytest.raises(CapacityError):
-        ones_pattern(1 << 30, 8)
 
 
 # ---------------------------------------------------------------- field scans
